@@ -10,8 +10,9 @@
 //
 // --server-cases additionally runs N concurrent-session interleaving
 // cases through the belief server's differential harness
-// (src/server/differential.h): randomized writer/reader threads, then
-// a serial replay that must reproduce every batch bit for bit.
+// (src/test_support/server_differential.h): randomized writer/reader
+// threads, then a serial replay that must reproduce every batch bit for
+// bit.
 //
 // --proof-cases additionally runs N random CNF instances through both
 // solving pipelines with DRAT recording on
@@ -28,8 +29,8 @@
 #include <cstring>
 #include <string>
 
-#include "server/differential.h"
 #include "test_support/differential.h"
+#include "test_support/server_differential.h"
 #include "test_support/proof_fuzz.h"
 
 namespace {

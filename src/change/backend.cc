@@ -63,6 +63,10 @@ class EnumeratingBackend : public DistanceBackend {
     return kMaxEnumTerms;
   }
 
+  int VocabularyLimit() const override { return kMaxEnumTerms; }
+
+  int64_t ExactModelCap() const override { return -1; }
+
   Result<DistanceChangeResult> Change(const DistanceSemantics& semantics,
                                       const Formula& psi, const Formula& mu,
                                       int num_terms,
@@ -113,6 +117,10 @@ class CountingBackend : public DistanceBackend {
         return kMaxVocabularyTerms - 1;  // uint64 model masks
     }
   }
+
+  int VocabularyLimit() const override { return kMaxVocabularyTerms - 1; }
+
+  int64_t ExactModelCap() const override { return 4096; }
 
   Result<DistanceChangeResult> Change(const DistanceSemantics& semantics,
                                       const Formula& psi, const Formula& mu,

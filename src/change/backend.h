@@ -40,6 +40,13 @@
 /// Both backends implement identical edge conventions, and the
 /// differential fuzz harness checks them bit-identical on every family
 /// up to the enumeration ceiling.
+///
+/// A BeliefStore always holds one backend and computes every distance
+/// operator through it — `change` and `query dist` alike, "enum" by
+/// default.  The registry operators (change/registry.h) compute the
+/// same argmins over materialized model sets; they stay the oracle
+/// the tests and the fuzz harness check the backends against, and
+/// serve the operators that are no distance argmin.
 
 namespace arbiter {
 
@@ -68,6 +75,18 @@ class DistanceBackend {
 
   /// Largest vocabulary this backend serves for the given semantics.
   virtual int MaxTerms(const DistanceSemantics& semantics) const = 0;
+
+  /// Largest vocabulary a store (or a linted script) running on this
+  /// backend accepts: the enumeration wall for "enum", the 63-atom
+  /// model-mask limit for "counting".  BeliefStore and arblint both
+  /// read their capacity from here.
+  virtual int VocabularyLimit() const = 0;
+
+  /// The `max_models` a caller that needs the exact result passes to
+  /// Change, or -1 for no cap.  Enumeration holds every model already,
+  /// so "enum" is uncapped; "counting" finds each model by one AllSAT
+  /// round and stops at 4096.
+  virtual int64_t ExactModelCap() const = 0;
 
   /// Computes ψ ▷ μ under `semantics` over an n-term vocabulary.
   /// Fails with kCapacityExceeded past MaxTerms (or when a counting

@@ -1,5 +1,7 @@
 #include "enc/cardinality.h"
 
+#include "util/logging.h"
+
 namespace arbiter::enc {
 
 using sat::Lit;
@@ -71,55 +73,6 @@ Lit EncodeXorEquals(ClauseSink* sink, Lit a, Lit b) {
   sink->AddTernary(d, ~a, b);
   sink->AddTernary(d, a, ~b);
   return d;
-}
-
-UnaryCounter::UnaryCounter(ClauseSink* sink, const std::vector<Lit>& lits) {
-  ARBITER_CHECK(sink != nullptr);
-  const int n = static_cast<int>(lits.size());
-  outputs_.resize(n);
-  if (n == 0) return;
-  // Totalizer-style unary sum built as a chain of merges; we use a
-  // simple O(n^2)-clause running-sum construction: row[i][j] = "at
-  // least j+1 of the first i+1 inputs are true".
-  std::vector<Lit> prev;   // row for prefix length i
-  for (int i = 0; i < n; ++i) {
-    std::vector<Lit> row(i + 1);
-    for (int j = 0; j <= i; ++j) row[j] = Lit::Pos(sink->NewVar());
-    if (i == 0) {
-      // row[0] <-> lits[0]
-      sink->AddBinary(~row[0], lits[0]);
-      sink->AddBinary(row[0], ~lits[0]);
-    } else {
-      for (int j = 0; j <= i; ++j) {
-        // row[j] is true iff at least j+1 true among first i+1 inputs:
-        //   row[j] <- prev[j]                    (already enough)
-        //   row[j] <- prev[j-1] & lits[i]        (becomes enough)
-        //   row[j] -> prev[j] | (prev[j-1] & lits[i])
-        if (j < i) sink->AddBinary(~prev[j], row[j]);
-        if (j == 0) {
-          sink->AddBinary(~lits[i], row[0]);
-          // row[0] -> prev[0] | lits[i]
-          sink->AddTernary(~row[0], prev[0], lits[i]);
-        } else {
-          if (j - 1 <= i - 1) {
-            sink->AddTernary(~prev[j - 1], ~lits[i], row[j]);
-          }
-          // row[j] -> prev[j] | (prev[j-1] & lits[i])
-          // CNF: (!row[j] | prev[j] | prev[j-1]) & (!row[j] | prev[j] | lits[i])
-          if (j < i) {
-            sink->AddTernary(~row[j], prev[j], prev[j - 1]);
-            sink->AddTernary(~row[j], prev[j], lits[i]);
-          } else {
-            // j == i: prev[j] does not exist (can't have i+1 of i inputs)
-            sink->AddBinary(~row[j], prev[j - 1]);
-            sink->AddBinary(~row[j], lits[i]);
-          }
-        }
-      }
-    }
-    prev = std::move(row);
-  }
-  outputs_ = std::move(prev);
 }
 
 }  // namespace arbiter::enc

@@ -4,12 +4,13 @@
 #include <vector>
 
 #include "sat/cnf.h"
-#include "util/logging.h"
 
 /// \file cardinality.h
 /// Cardinality constraints over literals, encoded with the sequential
-/// (unary) counter of Sinz (2005).  Used by the SAT-based Dalal
-/// revision and the CEGAR arbitration loop to bound Hamming distances.
+/// (unary) counter of Sinz (2005), plus the XOR difference bit the
+/// Hamming-distance encodings build on (solve/sat_bridge.h).  Distance
+/// bounds that are assumed or tightened incrementally use the
+/// totalizer (totalizer.h) instead.
 
 namespace arbiter::enc {
 
@@ -29,31 +30,6 @@ void AddExactlyK(sat::ClauseSink* sink, const std::vector<sat::Lit>& lits,
 /// Creates a fresh literal d with  d <-> (a xor b)  and returns it.
 /// This is the "difference bit" used for Hamming distance encodings.
 sat::Lit EncodeXorEquals(sat::ClauseSink* sink, sat::Lit a, sat::Lit b);
-
-/// A unary counter exposing per-threshold outputs: output(k) is a
-/// literal that is true iff at least k of the inputs are true.  Built
-/// once, thresholds can then be asserted or assumed incrementally —
-/// the core of the binary-search distance minimization in src/solve/.
-class UnaryCounter {
- public:
-  /// Builds the counter circuit over `lits` in `sink`.
-  UnaryCounter(sat::ClauseSink* sink, const std::vector<sat::Lit>& lits);
-
-  int size() const { return static_cast<int>(outputs_.size()); }
-
-  /// Literal true iff >= k inputs are true.  Requires 1 <= k <= size().
-  sat::Lit AtLeast(int k) const {
-    ARBITER_CHECK(k >= 1 && k <= size());
-    return outputs_[k - 1];
-  }
-
-  /// Literal true iff <= k inputs are true (negation of AtLeast(k+1)).
-  /// Requires 0 <= k < size(); k >= size() is trivially true.
-  sat::Lit AtMost(int k) const { return ~AtLeast(k + 1); }
-
- private:
-  std::vector<sat::Lit> outputs_;
-};
 
 }  // namespace arbiter::enc
 

@@ -8,21 +8,17 @@
 
 /// \file totalizer.h
 /// The totalizer cardinality encoding of Bailleux & Boufkhad (2003):
-/// a balanced binary tree of unary merges.  Compared with the running
-/// sequential counter (cardinality.h / UnaryCounter):
-///
-///  * same interface — output literal k is true iff >= k inputs are;
-///  * O(n log n) auxiliary variables vs O(n^2) for the running sum,
-///    but O(n^2) clauses in both (merge products);
-///  * better propagation structure in practice (balanced depth).
-///
-/// The ablation benchmark bench_encodings.cc measures both on the
-/// distance-bounding workloads used by src/solve/.
+/// a balanced binary tree of unary merges.  Output literal k is true
+/// iff >= k inputs are; O(n log n) auxiliary variables and O(n^2)
+/// clauses (merge products).  A running sequential counter with the
+/// same interface needed O(n^2) variables and ran 2–4× slower on the
+/// distance-bounding workloads of src/solve/ (EXPERIMENTS.md E14), so
+/// the totalizer is the only threshold counter.
 
 namespace arbiter::enc {
 
 /// A totalizer over the given literals; thresholds usable as
-/// assumptions or asserted as units, exactly like UnaryCounter.
+/// assumptions or asserted as units.
 class Totalizer {
  public:
   Totalizer(sat::ClauseSink* sink, const std::vector<sat::Lit>& lits);

@@ -1,6 +1,5 @@
 #include "lint/lint.h"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -252,9 +251,7 @@ class ScriptLinter {
   }
 
   /// Capacity limit of the backend selected so far in script order.
-  int CapacityLimit() const {
-    return backend_ == "enum" ? kMaxEnumTerms : kMaxVocabularyTerms - 1;
-  }
+  int CapacityLimit() const { return backend_->VocabularyLimit(); }
 
   /// Emits the capacity diagnostic for the current vocabulary size under
   /// the selected backend: a hard error past the enumeration wall on the
@@ -263,29 +260,27 @@ class ScriptLinter {
   void CheckCapacity(int line_no) {
     const int n = vocab_.size();
     if (n <= kMaxEnumTerms) return;
-    if (backend_ == "enum") {
+    if (n > CapacityLimit()) {
       if (capacity_blown_) return;
       capacity_blown_ = true;
-      emit_->Emit(
-          "script/capacity", line_no, 1,
-          "script mentions " + std::to_string(n) +
-              " distinct atoms; execution enumerates at most 2^" +
-              std::to_string(kMaxEnumTerms) + " interpretations",
-          "the store rejects the first formula that grows its "
-          "vocabulary past " + std::to_string(kMaxEnumTerms) +
-          " terms; 'set backend counting' lifts the wall to " +
-          std::to_string(kMaxVocabularyTerms - 1) + " terms");
-      return;
-    }
-    if (n > kMaxVocabularyTerms - 1) {
-      if (capacity_blown_) return;
-      capacity_blown_ = true;
-      emit_->Emit(
-          "script/capacity", line_no, 1,
-          "script mentions " + std::to_string(n) +
-              " distinct atoms; even the counting backend serves at "
-              "most " + std::to_string(kMaxVocabularyTerms - 1),
-          "model masks must fit in 64 bits");
+      if (CapacityLimit() <= kMaxEnumTerms) {
+        emit_->Emit(
+            "script/capacity", line_no, 1,
+            "script mentions " + std::to_string(n) +
+                " distinct atoms; execution enumerates at most 2^" +
+                std::to_string(kMaxEnumTerms) + " interpretations",
+            "the store rejects the first formula that grows its "
+            "vocabulary past " + std::to_string(kMaxEnumTerms) +
+            " terms; 'set backend counting' lifts the wall to " +
+            std::to_string(kMaxVocabularyTerms - 1) + " terms");
+      } else {
+        emit_->Emit(
+            "script/capacity", line_no, 1,
+            "script mentions " + std::to_string(n) +
+                " distinct atoms; even the counting backend serves at "
+                "most " + std::to_string(CapacityLimit()),
+            "model masks must fit in 64 bits");
+      }
       return;
     }
     if (counting_noted_) return;
@@ -347,17 +342,17 @@ class ScriptLinter {
   }
 
   void SetBackend(const ScriptStatement& stmt) {
-    const std::vector<std::string> known = DistanceBackendNames();
-    if (std::find(known.begin(), known.end(), stmt.formula) == known.end()) {
+    Result<std::shared_ptr<DistanceBackend>> backend =
+        MakeDistanceBackend(stmt.formula);
+    if (!backend.ok()) {
       emit_->Emit("script/unknown-backend", stmt.line,
                   ColOf(LineText(stmt.line), stmt.formula),
                   "unknown backend '" + stmt.formula + "'",
-                  "registered backends: " + Join(known, ", "));
+                  "registered backends: " +
+                      Join(DistanceBackendNames(), ", "));
       return;
     }
-    const int new_limit = stmt.formula == "enum"
-                              ? kMaxEnumTerms
-                              : kMaxVocabularyTerms - 1;
+    const int new_limit = (*backend)->VocabularyLimit();
     if (vocab_.size() > new_limit) {
       if (!capacity_blown_) {
         capacity_blown_ = true;
@@ -371,7 +366,7 @@ class ScriptLinter {
       }
       return;
     }
-    backend_ = stmt.formula;
+    backend_ = *std::move(backend);
   }
 
   void SetWeight(const ScriptStatement& stmt) {
@@ -607,9 +602,9 @@ class ScriptLinter {
   std::vector<std::string> lines_;
   Vocabulary vocab_;
   bool capacity_blown_ = false;
-  /// Backend selected so far in script order ("enum" until a
-  /// `set backend` statement switches it).
-  std::string backend_ = "enum";
+  /// Backend selected so far in script order (the store's default
+  /// until a `set backend` statement switches it).
+  std::shared_ptr<DistanceBackend> backend_ = MakeEnumeratingBackend();
   bool counting_noted_ = false;
   std::map<std::string, BaseState> bases_;
   std::set<std::string> payload_atoms_;

@@ -34,7 +34,7 @@
 /// Every BatchResult reports the epoch it observed, which makes the
 /// model testable: replaying the same statements serially against the
 /// same epoch's snapshot must reproduce the same outcomes bit for bit
-/// (src/server/differential.h does exactly that under ThreadSanitizer).
+/// (src/test_support/server_differential.h does exactly that under ThreadSanitizer).
 ///
 /// ## Batching
 ///

@@ -13,11 +13,6 @@ namespace arbiter {
 
 namespace {
 
-/// Largest exact result a backend-served Apply may produce: the store
-/// holds results as formulas built from their models, so a truncated
-/// model list would silently change the base's meaning.
-constexpr int64_t kStoreBackendMaxModels = 4096;
-
 /// Journal payloads are persisted one per line; the parser treats all
 /// whitespace alike, so flattening embedded line breaks preserves the
 /// formula while keeping the Save format line-based.
@@ -34,17 +29,10 @@ std::string SingleLine(const std::string& text) {
 BeliefStore::BeliefStore(const BeliefStore& other)
     : vocab_(other.vocab_),
       bases_(other.bases_),
-      backend_name_(other.backend_name_),
+      // The source store's backend name came from the registry.
+      backend_(MakeDistanceBackend(other.backend_->name()).ValueOrDie()),
       weights_(other.weights_),
-      cache_(other.cache_) {
-  if (other.backend_ != nullptr) {
-    Result<std::shared_ptr<DistanceBackend>> fresh =
-        MakeDistanceBackend(backend_name_);
-    // backend_name_ was validated when the source store selected it.
-    ARBITER_CHECK(fresh.ok());
-    backend_ = *std::move(fresh);
-  }
-}
+      cache_(other.cache_) {}
 
 BeliefStore& BeliefStore::operator=(const BeliefStore& other) {
   if (this != &other) {
@@ -54,25 +42,19 @@ BeliefStore& BeliefStore::operator=(const BeliefStore& other) {
   return *this;
 }
 
-int BeliefStore::CapacityLimit() const {
-  // The enum backend materializes 2^n interpretations; the counting
-  // backend only needs model masks to fit in a uint64.
-  return backend_name_ == "enum" ? kMaxEnumTerms : kMaxVocabularyTerms - 1;
-}
-
 Result<Formula> BeliefStore::ParseValidated(const std::string& text,
                                             Vocabulary* scratch) const {
   Result<Formula> f = Parse(text, scratch);
   if (!f.ok()) return f;
   if (scratch->size() > CapacityLimit()) {
-    if (backend_name_ == "enum") {
+    if (CapacityLimit() <= kMaxEnumTerms) {
       return Status::CapacityExceeded(
           "store vocabulary exceeds the enumeration limit (" +
           std::to_string(kMaxEnumTerms) +
           " terms); select the counting backend to go further");
     }
     return Status::CapacityExceeded(
-        "store vocabulary exceeds the " + backend_name_ +
+        "store vocabulary exceeds the " + backend_->name() +
         " backend limit (" + std::to_string(CapacityLimit()) + " terms)");
   }
   return f;
@@ -82,16 +64,14 @@ Status BeliefStore::SetBackend(const std::string& name) {
   Result<std::shared_ptr<DistanceBackend>> backend =
       MakeDistanceBackend(name);
   if (!backend.ok()) return backend.status();
-  const int new_limit =
-      name == "enum" ? kMaxEnumTerms : kMaxVocabularyTerms - 1;
+  const int new_limit = (*backend)->VocabularyLimit();
   if (vocab_.size() > new_limit) {
     return Status::InvalidArgument(
         "cannot select backend \"" + name + "\": vocabulary already has " +
         std::to_string(vocab_.size()) + " terms (limit " +
         std::to_string(new_limit) + ")");
   }
-  backend_name_ = name;
-  backend_ = name == "enum" ? nullptr : *std::move(backend);
+  backend_ = *std::move(backend);
   return Status::OK();
 }
 
@@ -202,6 +182,62 @@ Result<KnowledgeBase> BeliefStore::Get(const std::string& name) const {
   return KnowledgeBase((*entry)->formula, vocab_.size());
 }
 
+Result<BeliefStore::ChangeValue> BeliefStore::CachedChange(
+    DistanceBackend& backend, const std::string& op_name,
+    const Vocabulary& scratch, const Formula& base,
+    const Formula& evidence, bool need_distance) const {
+  const std::vector<int64_t> metric = MetricVectorFor(scratch);
+  // A change is a pure function of (backend, operator, metric,
+  // vocabulary binding, base, evidence) — exactly the cache key.  An
+  // uncacheable request (canonicalization over budget) only skips
+  // memoization.
+  std::string cache_key;
+  if (cache_ != nullptr) {
+    Result<std::string> key = OperatorCacheKey(backend.name(), op_name,
+                                               metric, scratch, base,
+                                               evidence);
+    if (key.ok()) {
+      cache_key = *std::move(key);
+      std::optional<OperatorResultCache::Value> hit =
+          cache_->Lookup(cache_key);
+      if (hit.has_value() &&
+          (!need_distance || !hit->optimal.empty() ||
+           hit->result.kind() == FormulaKind::kFalse)) {
+        return ChangeValue{*std::move(hit)};
+      }
+    } else {
+      cache_->RecordSkip();
+    }
+  }
+
+  ChangeValue changed;
+  Result<BackendOperatorSpec> spec = BackendOperatorFor(op_name, metric);
+  if (spec.ok() && scratch.size() > 0) {
+    const Formula psi = spec->arbitration ? Or(base, evidence) : base;
+    const Formula mu = spec->arbitration ? Formula::True() : evidence;
+    Result<DistanceChangeResult> result =
+        backend.Change(spec->semantics, psi, mu, scratch.size(),
+                       backend.ExactModelCap());
+    if (!result.ok()) return result.status();
+    changed.value.optimal = std::move(result->optimal);
+    changed.exact = !result->truncated && !result->models_omitted;
+    if (!changed.exact) return changed;
+    changed.value.result = result->models.ToFormula();
+  } else if (scratch.size() <= kMaxEnumTerms) {
+    // Operators that are no distance argmin (updates, set-theoretic
+    // revisions) enumerate while the vocabulary permits it.
+    auto op = MakeOperator(op_name, metric);
+    if (!op.ok()) return op.status();
+    KnowledgeBase current(base, scratch.size());
+    KnowledgeBase mu(evidence, scratch.size());
+    changed.value.result = (*op)->Apply(current, mu).formula();
+  } else {
+    return spec.status();
+  }
+  if (!cache_key.empty()) cache_->Insert(cache_key, changed.value);
+  return changed;
+}
+
 Status BeliefStore::Apply(const std::string& target,
                           const std::string& op_name,
                           const std::string& evidence_text) {
@@ -212,85 +248,24 @@ Status BeliefStore::Apply(const std::string& target,
   Vocabulary scratch = vocab_;
   Result<Formula> evidence = ParseValidated(evidence_text, &scratch);
   if (!evidence.ok()) return evidence.status();
-  const std::vector<int64_t> metric = MetricVectorFor(scratch);
-
   Entry& entry = it->second;
-
-  // A successful Apply is a pure function of (backend, operator,
-  // metric, vocabulary binding, base, evidence) — exactly the cache
-  // key.  An uncacheable request (canonicalization over budget) only
-  // skips memoization.
-  std::string cache_key;
-  std::string optimal;
-  if (cache_ != nullptr) {
-    Result<std::string> key = OperatorCacheKey(
-        backend_name_, op_name, metric, scratch, entry.formula, *evidence);
-    if (key.ok()) {
-      cache_key = *std::move(key);
-      if (std::optional<OperatorResultCache::Value> hit =
-              cache_->Lookup(cache_key)) {
-        vocab_ = std::move(scratch);
-        entry.undo_stack.push_back(entry.formula);
-        entry.journal.push_back(ChangeRecord{op_name, evidence_text});
-        entry.formula = hit->result;
-        return Status::OK();
-      }
-    } else {
-      cache_->RecordSkip();
-    }
-  }
-
-  // Within the enumeration limit the registry operators are the
-  // reference path; the registry metric overload handles weights.
-  auto enumerate_apply = [&]() -> Result<Formula> {
-    auto op = MakeOperator(op_name, metric);
-    if (!op.ok()) return op.status();
-    KnowledgeBase current(entry.formula, scratch.size());
-    KnowledgeBase mu(*evidence, scratch.size());
-    return (*op)->Apply(current, mu).formula();
-  };
-
-  Result<Formula> changed = Status::Internal("unset");
-  if (backend_name_ == "enum") {
-    changed = enumerate_apply();
-  } else {
-    Result<BackendOperatorSpec> spec = BackendOperatorFor(op_name, metric);
-    if (spec.ok() && scratch.size() > 0) {
-      ARBITER_CHECK(backend_ != nullptr);
-      const Formula psi = spec->arbitration
-                              ? Or(entry.formula, *evidence)
-                              : entry.formula;
-      const Formula mu =
-          spec->arbitration ? Formula::True() : *evidence;
-      Result<DistanceChangeResult> result = backend_->Change(
-          spec->semantics, psi, mu, scratch.size(), kStoreBackendMaxModels);
-      if (!result.ok()) return result.status();
-      if (result->truncated || result->models_omitted) {
-        return Status::CapacityExceeded(
-            "change result exceeds " +
-            std::to_string(kStoreBackendMaxModels) +
-            " models; the store must hold the exact result");
-      }
-      optimal = result->optimal;
-      changed = result->models.ToFormula();
-    } else if (scratch.size() <= kMaxEnumTerms) {
-      // Non-distance operators (updates, set-theoretic revisions) keep
-      // enumerating while the vocabulary permits it.
-      changed = enumerate_apply();
-    } else {
-      return spec.status();
-    }
-  }
+  Result<ChangeValue> changed =
+      CachedChange(*backend_, op_name, scratch, entry.formula, *evidence,
+                   /*need_distance=*/false);
   if (!changed.ok()) return changed.status();
-  if (cache_ != nullptr && !cache_key.empty()) {
-    cache_->Insert(cache_key,
-                   OperatorResultCache::Value{*changed, std::move(optimal)});
+  if (!changed->exact) {
+    // The store holds results as formulas built from their models, so
+    // a truncated model list would silently change the base's meaning.
+    return Status::CapacityExceeded(
+        "change result exceeds " +
+        std::to_string(backend_->ExactModelCap()) +
+        " models; the store must hold the exact result");
   }
   // Commit point: vocabulary, journal, and formula move together.
   vocab_ = std::move(scratch);
   entry.undo_stack.push_back(entry.formula);
   entry.journal.push_back(ChangeRecord{op_name, evidence_text});
-  entry.formula = *changed;
+  entry.formula = std::move(changed->value.result);
   return Status::OK();
 }
 
@@ -450,47 +425,19 @@ Result<std::string> BeliefStore::QueryDistance(
     return Status::InvalidArgument(
         "dist needs at least one registered term");
   }
-  const std::vector<int64_t> metric = MetricVectorFor(scratch);
-  Result<BackendOperatorSpec> spec = BackendOperatorFor(op_name, metric);
+  Result<BackendOperatorSpec> spec =
+      BackendOperatorFor(op_name, MetricVectorFor(scratch));
   if (!spec.ok()) return spec.status();
-
-  std::string cache_key;
-  if (cache_ != nullptr) {
-    Result<std::string> key = OperatorCacheKey(
-        backend_name_, op_name, metric, scratch, (*entry)->formula, *mu);
-    if (key.ok()) {
-      cache_key = *std::move(key);
-      std::optional<OperatorResultCache::Value> hit =
-          cache_->Lookup(cache_key);
-      // Entries inserted by the enumeration Apply path carry no
-      // distance; fall through and compute (refreshing the entry).
-      if (hit.has_value() && !hit->optimal.empty()) return hit->optimal;
-      if (hit.has_value() && hit->result.kind() == FormulaKind::kFalse) {
-        return std::string("undefined");
-      }
-    } else {
-      cache_->RecordSkip();
-    }
-  }
-
   // Fresh backend per call: `this` may be a snapshot shared across
   // readers, and backends memoize internal state.
-  Result<std::shared_ptr<DistanceBackend>> backend =
-      MakeDistanceBackend(backend_name_);
-  if (!backend.ok()) return backend.status();
-  const Formula psi = spec->arbitration ? Or((*entry)->formula, *mu)
-                                        : (*entry)->formula;
-  const Formula goal = spec->arbitration ? Formula::True() : *mu;
-  Result<DistanceChangeResult> result = (*backend)->Change(
-      spec->semantics, psi, goal, scratch.size(), kStoreBackendMaxModels);
-  if (!result.ok()) return result.status();
-  if (!cache_key.empty() && !result->truncated && !result->models_omitted) {
-    cache_->Insert(cache_key,
-                   OperatorResultCache::Value{result->models.ToFormula(),
-                                              result->optimal});
-  }
-  if (result->optimal.empty()) return std::string("undefined");
-  return result->optimal;
+  std::shared_ptr<DistanceBackend> backend =
+      MakeDistanceBackend(backend_->name()).ValueOrDie();
+  Result<ChangeValue> changed =
+      CachedChange(*backend, op_name, scratch, (*entry)->formula, *mu,
+                   /*need_distance=*/true);
+  if (!changed.ok()) return changed.status();
+  if (changed->value.optimal.empty()) return std::string("undefined");
+  return changed->value.optimal;
 }
 
 Result<bool> BeliefStore::Counterfactual(
@@ -525,7 +472,7 @@ std::string BeliefStore::Save() const {
   // Backend and metric lines precede the bases so Load applies the
   // right capacity limit while parsing them.  The default backend and
   // unit weights are elided (older files stay loadable unchanged).
-  if (backend_name_ != "enum") out += "backend " + backend_name_ + "\n";
+  if (backend_->name() != "enum") out += "backend " + backend_->name() + "\n";
   for (const auto& [term, weight] : weights_) {
     out += "weight " + term + " " + std::to_string(weight) + "\n";
   }

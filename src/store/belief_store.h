@@ -33,15 +33,21 @@
 ///
 /// ## Distance backends and metrics
 ///
-/// Each store owns a distance backend (change/backend.h) selecting how
-/// distance-based operators are computed.  The default "enum" backend
-/// enumerates interpretations and caps the vocabulary at kMaxEnumTerms
-/// (24) terms.  Selecting "counting" (`SetBackend("counting")`, or
-/// `set backend counting` in a belief script) lifts the cap to 63
-/// terms: distance operators (dalal, revesz-max, revesz-sum,
-/// arbitration-max/-sum) run via SAT/#SAT, and entailment/consistency
-/// queries switch to CDCL past the enumeration limit.  Non-distance
-/// operators still enumerate and stay capped at 24 terms.
+/// Each store owns a distance backend (change/backend.h), and every
+/// distance operator (dalal, revesz-max, revesz-sum, arbitration-max/
+/// -sum) runs through it: `Apply` and `QueryDistance` share one cached
+/// computation, so a result is the same whichever of them computed it.
+/// The default "enum" backend enumerates interpretations and caps the
+/// vocabulary at kMaxEnumTerms (24) terms.  Selecting "counting"
+/// (`SetBackend("counting")`, or `set backend counting` in a belief
+/// script) lifts the cap to 63 terms: distance operators run via
+/// SAT/#SAT, and entailment/consistency queries switch to CDCL past the
+/// enumeration limit.  Operators that are no distance argmin (updates,
+/// set-theoretic revisions) run on the operator registry, the tests'
+/// oracle, and stay capped at 24 terms.
+///
+/// A distance result is stored as the disjunction of its models'
+/// minterms (ModelSet::ToFormula); the store never minimizes it.
 ///
 /// Per-atom metric weights (`SetWeight("S", 3)`, or `set weight S 3`)
 /// turn every distance into the weighted Hamming metric; operators
@@ -85,7 +91,8 @@ class BeliefStore {
   /// keyed independently of any one store) but never the distance
   /// backend: backends memoize mutable state (#SAT column caches), so
   /// each copy gets a fresh instance.  This is what makes
-  /// copy-on-write snapshots safe for concurrent readers.
+  /// copy-on-write snapshots safe for concurrent readers.  A moved-from
+  /// store holds no backend and may only be assigned or destroyed.
   BeliefStore(const BeliefStore& other);
   BeliefStore& operator=(const BeliefStore& other);
   BeliefStore(BeliefStore&&) = default;
@@ -99,7 +106,7 @@ class BeliefStore {
   Status SetBackend(const std::string& name);
 
   /// The selected backend's registry name ("enum" by default).
-  const std::string& backend_name() const { return backend_name_; }
+  std::string backend_name() const { return backend_->name(); }
 
   /// Sets the metric weight of a term (registering the term if new).
   /// Weights must be in [0, kMaxMetricWeight]; unset terms weigh 1.
@@ -124,7 +131,7 @@ class BeliefStore {
   std::vector<int64_t> MetricVector() const;
 
   /// Largest vocabulary the selected backend supports.
-  int CapacityLimit() const;
+  int CapacityLimit() const { return backend_->VocabularyLimit(); }
 
   /// Defines (or redefines) a named base from formula text.
   /// Redefinition clears the base's history.
@@ -203,9 +210,10 @@ class BeliefStore {
 
   /// The aggregated optimal distance of `base <op> mu` in decimal, or
   /// "undefined" when the distance is undefined (empty result / ψ
-  /// unsatisfiable convention).  Runs on a fresh backend instance (the
-  /// store's own backend memoizes state and this is const), consulting
-  /// the result cache when one is attached.
+  /// unsatisfiable convention).  The same computation as Apply, so
+  /// either one fills the result cache for the other; it runs on a
+  /// fresh backend instance (the store's own backend memoizes state
+  /// and this is const).
   Result<std::string> QueryDistance(const std::string& name,
                                     const std::string& op_name,
                                     const std::string& mu_text) const;
@@ -246,6 +254,30 @@ class BeliefStore {
   /// MetricVector over an arbitrary (scratch) vocabulary.
   std::vector<int64_t> MetricVectorFor(const Vocabulary& vocab) const;
 
+  /// `base <op> evidence` over `scratch`, as Apply and QueryDistance
+  /// both need it.  `exact` is false when the backend stopped at its
+  /// model cap; such a value holds only the distance and is never
+  /// cached.
+  struct ChangeValue {
+    OperatorResultCache::Value value;
+    bool exact = true;
+  };
+
+  /// The one change computation: the cached value when the key is
+  /// present; otherwise distance operators run on `backend` (arbitration
+  /// rewritten as fitting ψ ∨ μ to ⊤, Theorem 3.1) and any other
+  /// operator on the registry, and an exact result is cached.  With
+  /// `need_distance`, a cached satisfiable result that carries no
+  /// distance is recomputed: the cache is shared, and code other than
+  /// this routine may fill it without one (the benchmark's traced
+  /// replay does).
+  Result<ChangeValue> CachedChange(DistanceBackend& backend,
+                                   const std::string& op_name,
+                                   const Vocabulary& scratch,
+                                   const Formula& base,
+                                   const Formula& evidence,
+                                   bool need_distance) const;
+
   /// Satisfiability of `f` over an n-term universe, routed by size:
   /// enumeration within kMaxEnumTerms, CDCL beyond.
   bool IsSatisfiableOver(const Formula& f, int num_terms) const;
@@ -261,8 +293,7 @@ class BeliefStore {
 
   Vocabulary vocab_;
   std::map<std::string, Entry> bases_;
-  std::string backend_name_ = "enum";
-  std::shared_ptr<DistanceBackend> backend_;
+  std::shared_ptr<DistanceBackend> backend_ = MakeEnumeratingBackend();
   std::map<std::string, int64_t> weights_;
   std::shared_ptr<OperatorResultCache> cache_;
 };

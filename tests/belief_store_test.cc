@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "change/registry.h"
+#include "logic/parser.h"
+
 namespace arbiter {
 namespace {
 
@@ -430,6 +433,70 @@ TEST(BeliefStoreQuery, CopySharesCacheButNotBackendState) {
   ASSERT_TRUE(copy.Apply("kb", "dalal", "!a").ok());
   EXPECT_EQ(cache->stats().hits, 1u) << "copies share the result cache";
   EXPECT_EQ(copy.Save(), store.Save());
+}
+
+// A `change` that hits an entry `query dist` cached must commit what an
+// uncached change commits: both compute through one routine and store
+// one result form.  The atom e is free in both formulas, so every result
+// has model pairs a minimizer would merge.
+TEST(BeliefStoreQuery, DistanceCacheHitSavesWhatAnUncachedChangeSaves) {
+  for (const char* op : {"dalal", "revesz-max", "revesz-sum",
+                         "arbitration-max", "arbitration-sum"}) {
+    SCOPED_TRACE(op);
+    BeliefStore uncached;
+    ASSERT_TRUE(uncached.Define("other", "e").ok());
+    ASSERT_TRUE(uncached.Define("kb", "a & b & (c | d)").ok());
+    ASSERT_TRUE(uncached.Apply("kb", op, "!a | !b").ok());
+
+    BeliefStore cached;
+    auto cache = std::make_shared<OperatorResultCache>(16);
+    cached.SetResultCache(cache);
+    ASSERT_TRUE(cached.Define("other", "e").ok());
+    ASSERT_TRUE(cached.Define("kb", "a & b & (c | d)").ok());
+    ASSERT_TRUE(cached.QueryDistance("kb", op, "!a | !b").ok());
+    ASSERT_TRUE(cached.Apply("kb", op, "!a | !b").ok());
+    EXPECT_EQ(cache->stats().hits, 1u);
+    EXPECT_EQ(cached.Save(), uncached.Save());
+  }
+}
+
+// The cache is shared: an entry another writer stored without its
+// distance must not turn `query dist` into "undefined".
+TEST(BeliefStoreQuery, DistanceQueryRecomputesAnEntryWithoutDistance) {
+  auto cache = std::make_shared<OperatorResultCache>(16);
+  BeliefStore store;
+  store.SetResultCache(cache);
+  ASSERT_TRUE(store.Define("kb", "g & a").ok());
+  Vocabulary scratch = store.vocabulary();
+  Result<std::string> key =
+      OperatorCacheKey(store.backend_name(), "dalal", {}, scratch,
+                       *Parse("g & a", &scratch), *Parse("!g & !a", &scratch));
+  ASSERT_TRUE(key.ok());
+  cache->Insert(*key, OperatorResultCache::Value{
+                          *Parse("!g & !a", &scratch), ""});
+  EXPECT_EQ(*store.QueryDistance("kb", "dalal", "!g & !a"), "2");
+}
+
+// Enumeration holds every model already, so the enum backend commits
+// exact results past the counting backend's 4096-model cap.
+TEST(BeliefStoreBackend, EnumChangeCommitsMoreThan4096Models) {
+  BeliefStore store;
+  std::string wide = "x1";
+  for (int i = 2; i <= 14; ++i) wide += " | x" + std::to_string(i);
+  ASSERT_TRUE(store.Define("all", wide).ok());
+  ASSERT_TRUE(store.Define("kb", "x1").ok());
+  ASSERT_EQ(store.vocabulary().size(), 14);
+  ASSERT_TRUE(store.Apply("kb", "dalal", "x2 | x3").ok());
+
+  const Vocabulary& vocab = store.vocabulary();
+  Vocabulary scratch = vocab;
+  const ModelSet psi =
+      ModelSet::FromFormula(*Parse("x1", &scratch), vocab.size());
+  const ModelSet mu =
+      ModelSet::FromFormula(*Parse("x2 | x3", &scratch), vocab.size());
+  const ModelSet expected = (*MakeOperator("dalal"))->Change(psi, mu);
+  ASSERT_EQ(expected.size(), 6144u);
+  EXPECT_EQ(store.Get("kb")->models(), expected);
 }
 
 }  // namespace

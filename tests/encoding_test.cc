@@ -170,33 +170,6 @@ TEST(XorEqualsTest, TruthTable) {
   }
 }
 
-class UnaryCounterTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(UnaryCounterTest, ThresholdsMatchPopcount) {
-  const int n = GetParam();
-  Solver solver;
-  std::vector<Lit> lits;
-  for (int i = 0; i < n; ++i) lits.push_back(Lit::Pos(solver.NewVar()));
-  UnaryCounter counter(&solver, lits);
-  ASSERT_EQ(counter.size(), n);
-  // Force every input pattern via assumptions and read the outputs.
-  for (uint64_t w = 0; w < (1ULL << n); ++w) {
-    std::vector<Lit> assumptions;
-    for (int i = 0; i < n; ++i) {
-      assumptions.push_back(Lit(lits[i].var(), ((w >> i) & 1) == 0));
-    }
-    ASSERT_EQ(solver.SolveAssuming(assumptions), SolveStatus::kSat);
-    int pc = PopCount(w);
-    for (int k = 1; k <= n; ++k) {
-      EXPECT_EQ(solver.ModelValue(counter.AtLeast(k).var()), pc >= k)
-          << "w=" << w << " k=" << k;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, UnaryCounterTest,
-                         ::testing::Values(1, 2, 3, 4, 5, 6));
-
 class TotalizerTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(TotalizerTest, ThresholdsMatchPopcount) {
@@ -236,9 +209,7 @@ TEST(TotalizerTest, AgreesWithSequentialCounterOnCounts) {
         lits.push_back(Lit::Pos(solver.NewVar()));
       }
       if (which == 0) {
-        UnaryCounter counter(&solver, lits);
-        if (k >= 1) solver.AddUnit(counter.AtLeast(k));
-        if (k < n) solver.AddUnit(counter.AtMost(k));
+        AddExactlyK(&solver, lits, k);
       } else {
         Totalizer counter(&solver, lits);
         if (k >= 1) solver.AddUnit(counter.AtLeast(k));
@@ -258,15 +229,6 @@ TEST(TotalizerTest, EmptyInputHasNoOutputs) {
   Solver solver;
   Totalizer counter(&solver, {});
   EXPECT_EQ(counter.size(), 0);
-}
-
-TEST(UnaryCounterTest, AtMostIsComplementOfAtLeast) {
-  Solver solver;
-  std::vector<Lit> lits = {Lit::Pos(solver.NewVar()),
-                           Lit::Pos(solver.NewVar())};
-  UnaryCounter counter(&solver, lits);
-  EXPECT_EQ(counter.AtMost(0), ~counter.AtLeast(1));
-  EXPECT_EQ(counter.AtMost(1), ~counter.AtLeast(2));
 }
 
 }  // namespace

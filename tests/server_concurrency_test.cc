@@ -1,10 +1,11 @@
 // Concurrent-session differential tests: randomized writer/reader
 // threads against a live BeliefServer, then a serial replay that must
 // reproduce every batch's outcomes bit for bit against the epoch it
-// observed (src/server/differential.h).  The tsan CI job builds this
-// binary under ThreadSanitizer, so the same net catches data races.
+// observed (src/test_support/server_differential.h).  The tsan CI job
+// builds this binary under ThreadSanitizer, so the same net catches
+// data races.
 
-#include "server/differential.h"
+#include "test_support/server_differential.h"
 
 #include <gtest/gtest.h>
 
